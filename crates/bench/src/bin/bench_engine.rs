@@ -2,11 +2,9 @@
 //!
 //! Runs three fixed-seed scenarios on the paper's 16-core AMD machine and
 //! records how fast the *host* executes the simulation loop (simulated
-//! ops and events per wall-clock second). Each scenario is run with the
-//! timing-wheel event core (best of [`REPS`] walls, to ride out host
-//! noise) and once more with the `BinaryHeap` and cycle-box cores, whose
-//! ops/event counts must match exactly — the benchmark doubles as an
-//! equivalence smoke test of all three event cores.
+//! ops and events per wall-clock second, best of [`REPS`] walls to ride
+//! out host noise). The simulated op and event counts are deterministic;
+//! CI asserts those, never the walls.
 //!
 //! * `idle_heavy` — 1 busy core, 15 parked: the regime the event-driven
 //!   scheduler exists for (the old engine burned an idle-step per core
@@ -14,49 +12,22 @@
 //! * `saturated` — 32 threads on 16 cores with locks and migrations: the
 //!   regime where the event queue must not be slower than a linear scan.
 //! * `bursty` — a blocking-lock convoy: release hand-offs wake waiters in
-//!   same-cycle storms, separated by long compute gaps. Exercises the
-//!   wheel's batched dispatch and coarse-level cascades.
-//!
-//! The `recorded_baseline` block carries the numbers the seed
-//! `BinaryHeap` engine produced on this host before the timing-wheel
-//! rewrite; `speedup_events` compares against them.
+//!   same-cycle storms, separated by long compute gaps.
 
 use std::time::Instant;
 
 use o2_runtime::{
-    Action, Engine, EventCoreKind, NullPolicy, OpBuilder, RepeatBehaviour, RuntimeConfig,
-    SchedStats, StaticPolicy,
+    Action, Engine, NullPolicy, OpBuilder, RepeatBehaviour, RuntimeConfig, StaticPolicy,
 };
 use o2_sim::{ContentionModel, Machine, MachineConfig};
 
-/// Wheel-core repetitions per scenario; the best wall is recorded.
+/// Repetitions per scenario; the best wall is recorded.
 const REPS: usize = 3;
-
-/// Same-host walls recorded by this benchmark when the engine still ran
-/// on its original `BinaryHeap` event queue (committed with the seed).
-struct RecordedBaseline {
-    scenario: &'static str,
-    wall_seconds: f64,
-    events_per_wall_second: f64,
-}
-
-const RECORDED_BASELINE: [RecordedBaseline; 2] = [
-    RecordedBaseline {
-        scenario: "idle_heavy",
-        wall_seconds: 0.023461,
-        events_per_wall_second: 6_456_658.0,
-    },
-    RecordedBaseline {
-        scenario: "saturated",
-        wall_seconds: 0.065992,
-        events_per_wall_second: 11_262_358.0,
-    },
-];
 
 struct Scenario {
     name: &'static str,
     cycles: u64,
-    build: fn(EventCoreKind) -> Engine,
+    build: fn() -> Engine,
 }
 
 struct Outcome {
@@ -64,31 +35,12 @@ struct Outcome {
     simulated_cycles: u64,
     total_ops: u64,
     events_processed: u64,
-    /// Best wheel-core wall over [`REPS`] runs.
+    /// Best wall over [`REPS`] runs.
     wall_seconds: f64,
-    /// Best heap-core wall over [`REPS`] runs (same binary, same host —
-    /// the live counterpart of the recorded baseline).
-    heap_wall_seconds: f64,
-    stats: SchedStats,
 }
 
 impl Outcome {
     fn json(&self) -> String {
-        let events_per_s = self.events_processed as f64 / self.wall_seconds;
-        let baseline = RECORDED_BASELINE.iter().find(|b| b.scenario == self.name);
-        let baseline_json = match baseline {
-            Some(b) => format!(
-                concat!(
-                    "      \"baseline_wall_seconds\": {:.6},\n",
-                    "      \"baseline_events_per_wall_second\": {:.0},\n",
-                    "      \"speedup_events\": {:.2},\n",
-                ),
-                b.wall_seconds,
-                b.events_per_wall_second,
-                events_per_s / b.events_per_wall_second,
-            ),
-            None => String::new(),
-        };
         format!(
             concat!(
                 "    {{\n",
@@ -97,16 +49,8 @@ impl Outcome {
                 "      \"total_ops\": {},\n",
                 "      \"events_processed\": {},\n",
                 "      \"wall_seconds\": {:.6},\n",
-                "      \"heap_wall_seconds\": {:.6},\n",
                 "      \"sim_ops_per_wall_second\": {:.0},\n",
-                "      \"events_per_wall_second\": {:.0},\n",
-                "{}",
-                "      \"wheel\": {{\n",
-                "        \"occupancy_hwm\": {},\n",
-                "        \"cascades\": {},\n",
-                "        \"overflows\": {},\n",
-                "        \"max_batch\": {}\n",
-                "      }}\n",
+                "      \"events_per_wall_second\": {:.0}\n",
                 "    }}"
             ),
             self.name,
@@ -114,21 +58,15 @@ impl Outcome {
             self.total_ops,
             self.events_processed,
             self.wall_seconds,
-            self.heap_wall_seconds,
             self.total_ops as f64 / self.wall_seconds,
-            events_per_s,
-            baseline_json,
-            self.stats.wheel_occupancy_hwm,
-            self.stats.wheel_cascades,
-            self.stats.wheel_overflows,
-            self.stats.wheel_max_batch,
+            self.events_processed as f64 / self.wall_seconds,
         )
     }
 }
 
-/// One timed run; returns `(wall, ops, events, stats)`.
-fn run_once(s: &Scenario, kind: EventCoreKind) -> (f64, u64, u64, SchedStats) {
-    let mut engine = (s.build)(kind);
+/// One timed run; returns `(wall, ops, events)`.
+fn run_once(s: &Scenario) -> (f64, u64, u64) {
+    let mut engine = (s.build)();
     let start = Instant::now();
     engine.run_until_cycles(s.cycles);
     let wall = start.elapsed().as_secs_f64().max(1e-9);
@@ -136,44 +74,21 @@ fn run_once(s: &Scenario, kind: EventCoreKind) -> (f64, u64, u64, SchedStats) {
         wall,
         engine.total_ops(),
         engine.sched_stats().events_processed,
-        engine.sched_stats(),
     )
 }
 
 fn measure(s: &Scenario) -> Outcome {
-    let (mut wall, ops, events, stats) = run_once(s, EventCoreKind::Wheel);
+    let (mut wall, ops, events) = run_once(s);
     for _ in 1..REPS {
-        wall = wall.min(run_once(s, EventCoreKind::Wheel).0);
+        wall = wall.min(run_once(s).0);
     }
-
-    // The other event cores must reproduce the wheel's results exactly;
-    // keep the heap's best wall as the live same-host comparison point.
-    let (mut heap_wall, heap_ops, heap_events, _) = run_once(s, EventCoreKind::Heap);
-    for _ in 1..REPS {
-        heap_wall = heap_wall.min(run_once(s, EventCoreKind::Heap).0);
-    }
-    assert_eq!(
-        (ops, events),
-        (heap_ops, heap_events),
-        "{}: heap event core diverged from the wheel",
-        s.name
-    );
-    let (_, box_ops, box_events, _) = run_once(s, EventCoreKind::CycleBox);
-    assert_eq!(
-        (ops, events),
-        (box_ops, box_events),
-        "{}: cycle-box event core diverged from the wheel",
-        s.name
-    );
-
     println!(
-        "{:<12} {:>9} ops in {:.3}s ({:.0} sim-ops/s, {} events, heap {:.3}s)",
+        "{:<12} {:>9} ops in {:.3}s ({:.0} sim-ops/s, {} events)",
         s.name,
         ops,
         wall,
         ops as f64 / wall,
         events,
-        heap_wall,
     );
     Outcome {
         name: s.name,
@@ -181,18 +96,16 @@ fn measure(s: &Scenario) -> Outcome {
         total_ops: ops,
         events_processed: events,
         wall_seconds: wall,
-        heap_wall_seconds: heap_wall,
-        stats,
     }
 }
 
-fn idle_heavy(kind: EventCoreKind) -> Engine {
+fn idle_heavy() -> Engine {
     let mut cfg = MachineConfig::amd16();
     cfg.contention = ContentionModel::None;
     let mut engine = Engine::new(
         Machine::new(cfg),
         Box::new(NullPolicy),
-        RuntimeConfig::default().with_event_core(kind),
+        RuntimeConfig::default(),
     );
     let data = engine.machine_mut().memory_mut().alloc(64 * 1024, 0);
     let op = OpBuilder::annotated(0x1)
@@ -203,9 +116,9 @@ fn idle_heavy(kind: EventCoreKind) -> Engine {
     engine
 }
 
-fn saturated(kind: EventCoreKind) -> Engine {
+fn saturated() -> Engine {
     let machine = Machine::new(MachineConfig::amd16());
-    let mut cfg = RuntimeConfig::default().with_event_core(kind);
+    let mut cfg = RuntimeConfig::default();
     cfg.quantum_cycles = 10_000;
     let mut policy = StaticPolicy::new();
     for i in 0..8u64 {
@@ -240,21 +153,17 @@ fn saturated(kind: EventCoreKind) -> Engine {
     engine
 }
 
-fn bursty(kind: EventCoreKind) -> Engine {
+fn bursty() -> Engine {
     let mut mcfg = MachineConfig::amd16();
     mcfg.contention = ContentionModel::None;
     let machine = Machine::new(mcfg);
-    let cfg = RuntimeConfig::default()
-        .with_blocking_locks()
-        .with_event_core(kind);
+    let cfg = RuntimeConfig::default().with_blocking_locks();
     let mut engine = Engine::new(machine, Box::new(NullPolicy), cfg);
     let lock_region = engine.machine_mut().memory_mut().alloc(64, 0);
     let lock = engine.register_lock(lock_region.addr);
     // All 16 cores contend on one blocking lock: every release hands off
     // to the next waiter, so wakeups arrive in dense same-cycle storms,
-    // then the whole machine computes quietly for 30k cycles — long
-    // enough that the wheel cursor has to cross coarse-level slots to
-    // find the next storm.
+    // then the whole machine computes quietly for 30k cycles.
     for core in 0..16u32 {
         let op = OpBuilder::annotated(0x2000 + u64::from(core))
             .lock(lock)
@@ -291,35 +200,17 @@ fn main() {
         .map(Outcome::json)
         .collect::<Vec<_>>()
         .join(",\n");
-    let baseline_body = RECORDED_BASELINE
-        .iter()
-        .map(|b| {
-            format!(
-                concat!(
-                    "      {{ \"scenario\": \"{}\", \"wall_seconds\": {:.6}, ",
-                    "\"events_per_wall_second\": {:.0} }}"
-                ),
-                b.scenario, b.wall_seconds, b.events_per_wall_second
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let json = format!(
         concat!(
             "{{\n",
             "  \"benchmark\": \"engine_loop\",\n",
             "  \"machine\": \"amd16\",\n",
-            "  \"engine\": \"event core: hierarchical timing wheel, batched same-cycle dispatch\",\n",
+            "  \"engine\": \"event core: BinaryHeap of (wake_cycle, core), lazy stale discard, parked idle cores\",\n",
             "  \"reps_per_scenario\": {},\n",
-            "  \"recorded_baseline\": {{\n",
-            "    \"engine\": \"event-queue (BinaryHeap, parked idle cores)\",\n",
-            "    \"note\": \"same-host walls recorded before the timing-wheel rewrite\",\n",
-            "    \"scenarios\": [\n{}\n    ]\n",
-            "  }},\n",
             "  \"scenarios\": [\n{}\n  ]\n",
             "}}\n"
         ),
-        REPS, baseline_body, body
+        REPS, body
     );
     std::fs::write("BENCH_engine.json", &json).expect("write BENCH_engine.json");
     println!("wrote BENCH_engine.json");

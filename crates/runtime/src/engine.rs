@@ -7,18 +7,17 @@
 //! pluggable [`SchedPolicy`] consulted at every `ct_start`/`ct_end` and at
 //! periodic epochs.
 //!
-//! Execution is a deterministic discrete-event simulation. A min-queue of
-//! `(wake_cycle, core)` events drives the run loop: the engine always pops
-//! the event with the smallest wake cycle (ties broken by the lower core
-//! id, exactly the order the original smallest-clock scan produced), steps
-//! that core once, and reschedules it at its returned next wake time. The
-//! queue itself is selectable through [`RuntimeConfig`]'s `event_core`: a
-//! hierarchical [`TimingWheel`](crate::wheel::TimingWheel) (the default —
-//! O(1) bucket inserts, batched same-cycle dispatch), the previous
-//! `BinaryHeap` (kept as the recorded-baseline comparator), or a
-//! queue-less *cycle box* that re-scans every core's pending wake each
-//! step — O(cores) per event, but trivially correct, so it doubles as a
-//! lockstep debugging reference. All three produce bit-identical runs.
+//! Execution is a deterministic discrete-event simulation. A `BinaryHeap`
+//! min-queue of `(wake_cycle, core)` events drives one run loop: pop the
+//! event with the smallest wake cycle (ties broken by the lower core id,
+//! exactly the order the original smallest-clock scan produced), step that
+//! core once, reschedule it at its returned next wake time, then apply due
+//! fault edges and epoch boundaries. Each core owns at most one live entry;
+//! a re-wake to an earlier cycle pushes a new entry and the superseded one
+//! is discarded lazily when it surfaces. Debug builds check every pop
+//! against the queue-less reference — the minimum over every core's
+//! pending wake, the lockstep *cycle box* — so the whole debug test suite
+//! doubles as a queue-equivalence test.
 //! Cores with nothing to run are **parked** — they own no heap entry and
 //! consume zero work per step — and are explicitly woken by thread spawns,
 //! migration-inbox arrivals, lock releases (when [`RuntimeConfig`]'s
@@ -32,7 +31,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::action::{Action, ObjectDescriptor};
 use crate::behaviour::{BehaviourCtx, ThreadBehaviour};
-use crate::config::{EventCoreKind, RuntimeConfig};
+use crate::config::RuntimeConfig;
 use crate::error::EngineError;
 use crate::object_index::ObjectIndex;
 use crate::policy::{EpochView, OpContext, Placement, PolicyCommand, SchedPolicy};
@@ -40,7 +39,6 @@ use crate::stats::{RunWindow, SchedStats};
 use crate::sync::LockRegistry;
 use crate::thread::{OpRecord, Thread, ThreadState, ThreadStats};
 use crate::types::{CoreId, Cycles, DenseObjectId, LockId, ObjectId, ThreadId};
-use crate::wheel::TimingWheel;
 use o2_metrics::LatencyRecorder;
 use o2_sim::{
     AccessKind, FaultKind, FaultPlan, LinkDegradation, Machine, MachineCounters, MemStats,
@@ -49,44 +47,6 @@ use o2_sim::{
 /// Sentinel in `sched_wake` marking a parked core (no pending wake).
 /// `Cycles::MAX` is unreachable as a real wake cycle.
 const PARKED: Cycles = Cycles::MAX;
-
-/// The engine's event queue, in one of the three selectable forms.
-///
-/// `Scan` (the cycle box) holds no state of its own: `sched_wake` *is*
-/// the queue, and the engine finds the minimum by scanning it — the
-/// smallest-clock lockstep idiom the event queue originally replaced.
-enum EventQueue {
-    Wheel(TimingWheel),
-    Heap(BinaryHeap<Reverse<(Cycles, usize)>>),
-    Scan,
-}
-
-impl EventQueue {
-    fn push(&mut self, at: Cycles, core: usize) {
-        match self {
-            EventQueue::Wheel(w) => w.push(at, core),
-            EventQueue::Heap(h) => h.push(Reverse((at, core))),
-            EventQueue::Scan => {}
-        }
-    }
-
-    /// The raw minimum entry — possibly stale. `None` in scan mode.
-    fn peek(&mut self) -> Option<(Cycles, usize)> {
-        match self {
-            EventQueue::Wheel(w) => w.peek(),
-            EventQueue::Heap(h) => h.peek().map(|&Reverse(e)| e),
-            EventQueue::Scan => None,
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Cycles, usize)> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop().map(|Reverse(e)| e),
-            EventQueue::Scan => None,
-        }
-    }
-}
 
 /// A thread in transit to a core's migration inbox.
 #[derive(Debug, Clone, Copy)]
@@ -165,7 +125,7 @@ pub struct Engine {
     /// The event queue: `(wake_cycle, core)` entries, popped smallest
     /// first. Stale entries (superseded by an earlier wake-up) are
     /// discarded lazily when they surface.
-    events: EventQueue,
+    events: BinaryHeap<Reverse<(Cycles, usize)>>,
     /// The wake cycle each core is currently scheduled at ([`PARKED`]
     /// while parked). Used to recognise stale queue entries.
     sched_wake: Vec<Cycles>,
@@ -175,7 +135,7 @@ pub struct Engine {
     fault_edges: Vec<FaultEdge>,
     next_fault_idx: usize,
     /// Cycle of the next pending fault edge — `Cycles::MAX` when none,
-    /// which makes every fault gate in the run loops a no-op compare.
+    /// which makes the run loop's fault gate a no-op compare.
     next_fault_at: Cycles,
     /// Seed handed to the interconnect for migration-loss draws.
     fault_seed: u64,
@@ -196,11 +156,6 @@ impl Engine {
         let n = machine.config().total_cores() as usize;
         let epoch_base = machine.snapshot_counters();
         let next_epoch = cfg.epoch_cycles;
-        let events = match cfg.event_core {
-            EventCoreKind::Wheel => EventQueue::Wheel(TimingWheel::new()),
-            EventCoreKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            EventCoreKind::CycleBox => EventQueue::Scan,
-        };
         Self {
             machine,
             cfg,
@@ -214,7 +169,7 @@ impl Engine {
             total_ops: 0,
             next_epoch,
             epoch_base,
-            events,
+            events: BinaryHeap::new(),
             sched_wake: vec![PARKED; n],
             sched_stats: SchedStats::default(),
             fault_edges: Vec::new(),
@@ -228,7 +183,7 @@ impl Engine {
     }
 
     /// Installs a fault plan: expands it into a sorted edge schedule the
-    /// run loops consume. Events targeting out-of-range cores are
+    /// run loop consumes. Events targeting out-of-range cores are
     /// dropped (validate plans against the machine beforehand to catch
     /// them). An empty plan leaves the engine bit-identical to one that
     /// never had a fault plane at all.
@@ -431,17 +386,10 @@ impl Engine {
         self.cores.iter().map(|c| c.clock).min().unwrap_or(0)
     }
 
-    /// Scheduler statistics: events processed, parked-core wake-ups, and —
-    /// when the timing-wheel event core is active — wheel telemetry.
+    /// Scheduler statistics: events processed, stale entries discarded,
+    /// parked-core wake-ups, fault-plane and fill counters.
     pub fn sched_stats(&self) -> SchedStats {
         let mut s = self.sched_stats;
-        if let EventQueue::Wheel(w) = &self.events {
-            let ws = w.stats();
-            s.wheel_occupancy_hwm = ws.occupancy_hwm;
-            s.wheel_cascades = ws.cascades;
-            s.wheel_overflows = ws.overflow_inserts;
-            s.wheel_max_batch = ws.max_batch;
-        }
         s.op_latency = self.op_latency.summary();
         s
     }
@@ -499,21 +447,11 @@ impl Engine {
         result
     }
 
-    /// The main loop: dispatches events strictly before `limit` until
-    /// `ops_target` operations have completed or every thread exits.
+    /// The run loop: pop the earliest event strictly before `limit`,
+    /// dispatch it, re-queue the core, then apply due fault edges and
+    /// epoch boundaries — until `ops_target` operations have completed or
+    /// every thread exits.
     fn run_loop(&mut self, limit: Cycles, ops_target: u64) -> Result<(), EngineError> {
-        match self.cfg.event_core {
-            EventCoreKind::Wheel => self.run_loop_wheel(limit, ops_target),
-            EventCoreKind::Heap | EventCoreKind::CycleBox => {
-                self.run_loop_classic(limit, ops_target)
-            }
-        }
-    }
-
-    /// The pre-wheel loop shape, kept verbatim for the heap baseline and
-    /// the cycle box: pop → dispatch → epoch check, one queue round-trip
-    /// per event.
-    fn run_loop_classic(&mut self, limit: Cycles, ops_target: u64) -> Result<(), EngineError> {
         self.prime_event_queue();
         while self.live_threads > 0 && self.total_ops < ops_target {
             let Some((wake, core)) = self.pop_event(limit) else {
@@ -527,100 +465,6 @@ impl Engine {
             self.maybe_epoch(limit);
         }
         Ok(())
-    }
-
-    /// The wheel loop: identical dispatch order to the classic loop with
-    /// two structural savings, both order-preserving.
-    ///
-    /// 1. The per-event epoch check costs one integer compare against the
-    ///    already-peeked frontier instead of a second queue peek: the old
-    ///    `maybe_epoch` after dispatch N and this loop's check before pop
-    ///    N+1 see the same frontier and the same engine state.
-    /// 2. *Run-ahead*: when a dispatched core's next wake is provably the
-    ///    global minimum — it precedes the raw queue head (a lower bound
-    ///    on every valid entry), the next epoch boundary, and the run
-    ///    limit — the engine dispatches it directly, skipping the
-    ///    push/pop round-trip whose outcome is already known.
-    fn run_loop_wheel(&mut self, limit: Cycles, ops_target: u64) -> Result<(), EngineError> {
-        self.prime_event_queue();
-        if self.live_threads == 0 || self.total_ops >= ops_target {
-            return Ok(());
-        }
-        let mut first = true;
-        loop {
-            let mut head = self.next_valid_event();
-            // The post-dispatch fault/epoch checks of the classic loop,
-            // moved to just before the next pop (no engine state changes
-            // between those two points). Never fire before the first
-            // dispatch.
-            if !first {
-                if let Some((frontier, _)) = head {
-                    if frontier >= self.next_fault_at {
-                        // Fault edges may park the head's core (an
-                        // offlining) or wake another one (the drain), so
-                        // the head must be re-peeked — unlike epochs.
-                        self.apply_faults_up_to(frontier);
-                        head = self.next_valid_event();
-                    }
-                }
-                if let Some((frontier, _)) = head {
-                    if frontier >= self.next_epoch {
-                        // Epoch commands can wake a parked core *at* the
-                        // boundary (a background replica fill), which may
-                        // precede the pre-epoch head — re-peek so the
-                        // classic loop's pop-the-minimum order is kept.
-                        self.catch_up_epochs(frontier, limit);
-                        head = self.next_valid_event();
-                    }
-                }
-            }
-            first = false;
-            if self.live_threads == 0 || self.total_ops >= ops_target {
-                return Ok(());
-            }
-            let Some((wake, core)) = head else {
-                return Ok(());
-            };
-            if wake >= limit {
-                return Ok(());
-            }
-            self.take_event(wake, core);
-            let mut wake = wake;
-            loop {
-                let Some(next) = self.dispatch(core, wake)? else {
-                    self.sched_stats.parks += 1;
-                    break;
-                };
-                // A self-wake during dispatch (a same-core lock hand-off)
-                // re-armed the core already; merge via the normal path.
-                if self.sched_wake[core] != PARKED {
-                    self.wake_core(core, next);
-                    break;
-                }
-                if next < self.next_epoch
-                    && next < self.next_fault_at
-                    && next < limit
-                    && self.total_ops < ops_target
-                    && self.live_threads > 0
-                {
-                    let is_min = match self.events.peek() {
-                        None => true,
-                        Some(raw_head) => (next, core) < raw_head,
-                    };
-                    if is_min {
-                        // The fault gate (frontier < next_fault_at), the
-                        // epoch check (frontier < next_epoch) and the pop
-                        // (this entry is the minimum) are all decided;
-                        // dispatch again without touching the queue.
-                        self.sched_stats.events_processed += 1;
-                        wake = next;
-                        continue;
-                    }
-                }
-                self.wake_core(core, next);
-                break;
-            }
-        }
     }
 
     /// Runs a measurement window of `cycles` cycles starting at the current
@@ -669,7 +513,7 @@ impl Engine {
         // compare covers both "parked" and "pending but later".
         if at < self.sched_wake[core] {
             self.sched_wake[core] = at;
-            self.events.push(at, core);
+            self.events.push(Reverse((at, core)));
         }
     }
 
@@ -732,40 +576,40 @@ impl Engine {
         }
     }
 
-    /// The next valid pending event — the single validity path shared by
-    /// `pop_event`, `peek_valid_wake` and the wheel loop. In the queued
-    /// modes this peeks the queue and lazily discards stale entries
-    /// (superseded by an earlier re-wake); in cycle-box mode it scans
-    /// `sched_wake` directly, so nothing is ever stale. The entry is not
-    /// consumed: pair with [`Engine::take_event`] to dispatch it.
+    /// The next valid pending event, lazily discarding stale entries
+    /// (superseded by an earlier re-wake) from the top of the heap. The
+    /// entry is not consumed.
     fn next_valid_event(&mut self) -> Option<(Cycles, usize)> {
-        if matches!(self.events, EventQueue::Scan) {
-            return self
-                .sched_wake
-                .iter()
-                .enumerate()
-                .filter(|&(_, &wake)| wake != PARKED)
-                .map(|(core, &wake)| (wake, core))
-                .min();
-        }
-        loop {
-            let (wake, core) = self.events.peek()?;
-            if self.sched_wake[core] == wake {
-                return Some((wake, core));
+        let head = loop {
+            match self.events.peek() {
+                None => break None,
+                Some(&Reverse((wake, core))) if self.sched_wake[core] == wake => {
+                    break Some((wake, core))
+                }
+                Some(_) => {
+                    self.events.pop();
+                    self.sched_stats.stale_events += 1;
+                }
             }
-            self.events.pop();
-            self.sched_stats.stale_events += 1;
-        }
+        };
+        debug_assert_eq!(
+            head,
+            self.cycle_box_min(),
+            "event heap diverged from the cycle-box reference"
+        );
+        head
     }
 
-    /// Consumes the event returned by [`Engine::next_valid_event`].
-    fn take_event(&mut self, wake: Cycles, core: usize) {
-        if !matches!(self.events, EventQueue::Scan) {
-            let popped = self.events.pop();
-            debug_assert_eq!(popped, Some((wake, core)));
-        }
-        self.sched_wake[core] = PARKED;
-        self.sched_stats.events_processed += 1;
+    /// The lockstep *cycle box* reference: the earliest `(wake, core)` over
+    /// every core's pending wake, found by scanning `sched_wake` instead of
+    /// trusting the heap. O(cores); only consulted by debug assertions.
+    fn cycle_box_min(&self) -> Option<(Cycles, usize)> {
+        self.sched_wake
+            .iter()
+            .enumerate()
+            .filter(|&(_, &wake)| wake != PARKED)
+            .map(|(core, &wake)| (wake, core))
+            .min()
     }
 
     /// Pops the next valid event strictly before `limit`. Events at or
@@ -775,7 +619,9 @@ impl Engine {
         if wake >= limit {
             return None;
         }
-        self.take_event(wake, core);
+        self.events.pop();
+        self.sched_wake[core] = PARKED;
+        self.sched_stats.events_processed += 1;
         Some((wake, core))
     }
 
@@ -1363,62 +1209,38 @@ impl Engine {
                 Some(frontier) if frontier >= self.next_epoch => {}
                 _ => return,
             }
-            if !self.fire_one_epoch(limit) {
+            if self.next_epoch > limit
+                && self
+                    .cores
+                    .iter()
+                    .any(|c| c.current.is_none() && c.run_queue.is_empty())
+            {
                 return;
             }
-        }
-    }
-
-    /// The wheel loop's epoch catch-up: the frontier was already peeked,
-    /// so boundaries fire against the passed value instead of re-peeking.
-    /// Epoch commands can only create events *past* the frontier (a
-    /// rehome's `ready_at` exceeds the involved cores' clocks, which are
-    /// at or past the frontier), so the frontier is constant across the
-    /// catch-up and re-peeking each iteration — what `maybe_epoch` does —
-    /// would observe the same value.
-    fn catch_up_epochs(&mut self, frontier: Cycles, limit: Cycles) {
-        while frontier >= self.next_epoch {
-            if !self.fire_one_epoch(limit) {
-                return;
+            // Epoch boundaries are a wake-up source for idle accounting:
+            // bring every parked core's clock (and idle counter) up to the
+            // boundary so the policy's per-core deltas include their idle
+            // time.
+            self.settle_idle_cores(self.next_epoch.min(limit));
+            let snapshot = self.machine.snapshot_counters();
+            let deltas = snapshot.delta_since(&self.epoch_base);
+            let view = EpochView {
+                now: self.next_epoch,
+                machine: &self.machine,
+                deltas: &deltas,
+            };
+            let commands = self.policy.on_epoch(&view);
+            self.epoch_base = snapshot;
+            self.next_epoch += self.cfg.epoch_cycles;
+            // Fills the cores found no idle gap for during the last epoch
+            // are stale — the policy just re-planned from fresh counters.
+            for core in &mut self.cores {
+                core.fill_queue.clear();
+            }
+            for cmd in commands {
+                self.apply_command(cmd);
             }
         }
-    }
-
-    /// Fires the boundary at `next_epoch`, unless `limit` gates it.
-    /// Returns whether it fired.
-    fn fire_one_epoch(&mut self, limit: Cycles) -> bool {
-        if self.next_epoch > limit
-            && self
-                .cores
-                .iter()
-                .any(|c| c.current.is_none() && c.run_queue.is_empty())
-        {
-            return false;
-        }
-        // Epoch boundaries are a wake-up source for idle accounting:
-        // bring every parked core's clock (and idle counter) up to the
-        // boundary so the policy's per-core deltas include their idle
-        // time.
-        self.settle_idle_cores(self.next_epoch.min(limit));
-        let snapshot = self.machine.snapshot_counters();
-        let deltas = snapshot.delta_since(&self.epoch_base);
-        let view = EpochView {
-            now: self.next_epoch,
-            machine: &self.machine,
-            deltas: &deltas,
-        };
-        let commands = self.policy.on_epoch(&view);
-        self.epoch_base = snapshot;
-        self.next_epoch += self.cfg.epoch_cycles;
-        // Fills the cores found no idle gap for during the last epoch are
-        // stale — the policy just re-planned from fresh counters.
-        for core in &mut self.cores {
-            core.fill_queue.clear();
-        }
-        for cmd in commands {
-            self.apply_command(cmd);
-        }
-        true
     }
 
     /// Streams one queued background fill into `core_idx`'s caches: a
@@ -1522,8 +1344,8 @@ impl Engine {
 
     // ---- the fault plane ---------------------------------------------------
 
-    /// The classic loop's post-dispatch fault check: a no-op single
-    /// compare while no fault plan is installed (or all edges fired).
+    /// The run loop's post-dispatch fault check: a no-op single compare
+    /// while no fault plan is installed (or all edges fired).
     fn maybe_faults(&mut self) {
         if self.next_fault_at == PARKED {
             return;

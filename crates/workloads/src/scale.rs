@@ -41,7 +41,7 @@ use crate::open_loop::OpenLoopGen;
 pub struct ScaleSpec {
     /// The simulated machine.
     pub machine: MachineConfig,
-    /// Runtime configuration (event core, epoch length, ...).
+    /// Runtime configuration (epoch length, quantum, ...).
     pub runtime: RuntimeConfig,
     /// Number of objects (the sweep axis; up to 1e7).
     pub n_objects: u64,

@@ -1,15 +1,15 @@
-//! The three event cores ([`EventCoreKind`]) must be bit-identical: the
-//! timing wheel (default), the pre-refactor `BinaryHeap` queue, and the
-//! synchronous cycle box all drive the same dispatch order, so every
-//! machine counter and clock comes out the same.
+//! The engine's one event core, a `BinaryHeap` of `(wake_cycle, core)`
+//! entries, against the pre-refactor smallest-clock order.
 //!
-//! The saturated scenario and its golden fingerprint are copied from
-//! `tests/event_scheduler.rs` (which pins the default core); here the
-//! *other two* cores must reproduce the same pre-refactor fingerprint.
+//! `tests/event_scheduler.rs` pins the saturated scenario for one
+//! uninterrupted run. Here the same run is cut into several
+//! `run_until_cycles` calls, so entries at or past each limit stay pending
+//! in the heap between calls; the fingerprint must not change. In debug
+//! builds every pop is also checked against the queue-less cycle-box
+//! reference.
 
 use o2_suite::prelude::*;
-use o2_suite::runtime::{EventCoreKind, NullPolicy, RepeatBehaviour, StaticPolicy};
-use o2_suite::sim::ContentionModel;
+use o2_suite::runtime::{RepeatBehaviour, StaticPolicy};
 
 /// Folds every per-core counter of the machine plus the engine totals into
 /// one FNV-1a fingerprint, so "bit-for-bit identical" is one comparison.
@@ -51,11 +51,14 @@ fn fingerprint(engine: &Engine) -> u64 {
     h
 }
 
-/// The saturated 16-core scenario of `tests/event_scheduler.rs`, with a
-/// selectable event core.
-fn saturated_engine(kind: EventCoreKind) -> Engine {
+/// A saturated 16-core scenario: every core runs two threads forever —
+/// one doing annotated lock-protected reads whose object is pinned to
+/// another core (so operations migrate), one doing plain compute + yield
+/// (so quanta rotate). No core is ever idle, which is exactly the regime
+/// where the event queue must reproduce the old smallest-clock order.
+fn saturated_engine() -> Engine {
     let machine = Machine::new(MachineConfig::amd16());
-    let mut cfg = RuntimeConfig::default().with_event_core(kind);
+    let mut cfg = RuntimeConfig::default();
     cfg.epoch_cycles = 100_000;
     cfg.quantum_cycles = 10_000;
     let mut policy = StaticPolicy::new();
@@ -92,92 +95,16 @@ fn saturated_engine(kind: EventCoreKind) -> Engine {
 }
 
 /// Golden values captured from the pre-refactor engine (see
-/// `tests/event_scheduler.rs`, which asserts them for the default core).
+/// `tests/event_scheduler.rs`, which asserts them for an uninterrupted run).
 const PRE_REFACTOR_SATURATED_FINGERPRINT: u64 = 0x9d48_13c2_1de4_cda3;
 const PRE_REFACTOR_SATURATED_TOTAL_OPS: u64 = 28_864;
 
 #[test]
 fn heap_core_matches_pre_refactor_fingerprint() {
-    let mut engine = saturated_engine(EventCoreKind::Heap);
-    engine.run_until_cycles(1_500_000);
-    assert_eq!(engine.total_ops(), PRE_REFACTOR_SATURATED_TOTAL_OPS);
-    assert_eq!(fingerprint(&engine), PRE_REFACTOR_SATURATED_FINGERPRINT);
-}
-
-#[test]
-fn cycle_box_core_matches_pre_refactor_fingerprint() {
-    let mut engine = saturated_engine(EventCoreKind::CycleBox);
-    engine.run_until_cycles(1_500_000);
-    assert_eq!(engine.total_ops(), PRE_REFACTOR_SATURATED_TOTAL_OPS);
-    assert_eq!(fingerprint(&engine), PRE_REFACTOR_SATURATED_FINGERPRINT);
-}
-
-/// An idle-heavy blocking-lock scenario — parks, lock hand-off wakeups and
-/// long idle gaps — run under all three cores; fingerprints must agree.
-fn convoy_engine(kind: EventCoreKind) -> Engine {
-    let mut cfg = MachineConfig::amd16();
-    cfg.contention = ContentionModel::None;
-    let mut engine = Engine::new(
-        Machine::new(cfg),
-        Box::new(NullPolicy),
-        RuntimeConfig::default()
-            .with_blocking_locks()
-            .with_event_core(kind),
-    );
-    let word = engine.machine_mut().memory_mut().alloc(64, 9);
-    let lock = engine.register_lock(word.addr);
-    for core in 0..16u32 {
-        let op = OpBuilder::annotated(0x2000 + u64::from(core))
-            .lock(lock)
-            .compute(100 + u64::from(core) * 7)
-            .unlock(lock)
-            .compute(20_000)
-            .finish();
-        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+    let mut engine = saturated_engine();
+    for limit in [250_000, 700_000, 1_100_000, 1_500_000] {
+        engine.run_until_cycles(limit);
     }
-    engine
-}
-
-#[test]
-fn all_cores_agree_on_a_blocking_lock_convoy() {
-    let run = |kind| {
-        let mut engine = convoy_engine(kind);
-        engine.run_until_cycles(3_000_000);
-        (fingerprint(&engine), engine.total_ops())
-    };
-    let wheel = run(EventCoreKind::Wheel);
-    assert!(wheel.1 > 0, "convoy made no progress");
-    assert_eq!(wheel, run(EventCoreKind::Heap), "heap diverged");
-    assert_eq!(wheel, run(EventCoreKind::CycleBox), "cycle box diverged");
-}
-
-/// Migration-heavy scenario (objects pinned off their threads' home
-/// cores) under all three cores.
-#[test]
-fn all_cores_agree_on_a_migration_storm() {
-    let run = |kind| {
-        let mut policy = StaticPolicy::new();
-        for i in 0..16u64 {
-            policy.assign(0x3000 + i, ((i * 7 + 3) % 16) as u32);
-        }
-        let mut engine = Engine::new(
-            Machine::new(MachineConfig::amd16()),
-            Box::new(policy),
-            RuntimeConfig::default().with_event_core(kind),
-        );
-        let data = engine.machine_mut().memory_mut().alloc(1 << 20, 0);
-        for core in 0..16u32 {
-            let op = OpBuilder::annotated(0x3000 + u64::from(core))
-                .compute(200 + u64::from(core) * 11)
-                .read(data.addr + u64::from(core) * 8192, 2048)
-                .finish();
-            engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
-        }
-        engine.run_until_cycles(2_000_000);
-        (fingerprint(&engine), engine.total_ops())
-    };
-    let wheel = run(EventCoreKind::Wheel);
-    assert!(wheel.1 > 0, "storm made no progress");
-    assert_eq!(wheel, run(EventCoreKind::Heap), "heap diverged");
-    assert_eq!(wheel, run(EventCoreKind::CycleBox), "cycle box diverged");
+    assert_eq!(engine.total_ops(), PRE_REFACTOR_SATURATED_TOTAL_OPS);
+    assert_eq!(fingerprint(&engine), PRE_REFACTOR_SATURATED_FINGERPRINT);
 }

@@ -1,6 +1,7 @@
 //! Tests for the event-driven engine: determinism, parked-core wakeups,
-//! zero-work idle cores, and bit-for-bit equivalence with the pre-refactor
-//! smallest-clock scheduler on a saturated run.
+//! zero-work idle cores, bit-for-bit equivalence with the pre-refactor
+//! smallest-clock scheduler on a saturated run, and golden fingerprints
+//! of an idle-heavy lock convoy and a migration storm.
 
 use o2_suite::prelude::*;
 use o2_suite::runtime::{NullPolicy, RepeatBehaviour, StaticPolicy};
@@ -106,6 +107,75 @@ fn saturated_run_matches_pre_refactor_order_bit_for_bit() {
     );
     assert_eq!(engine.total_ops(), PRE_REFACTOR_SATURATED_TOTAL_OPS);
     assert_eq!(fingerprint(&engine), PRE_REFACTOR_SATURATED_FINGERPRINT);
+}
+
+/// Golden values of the two scenarios below, captured from the engine
+/// they were introduced against. They cover what the saturated run does
+/// not: parks, lock hand-off wake-ups, long idle gaps, and a steady stream
+/// of migration arrivals onto other cores.
+const GOLDEN_CONVOY_FINGERPRINT: u64 = 0xba2c_3274_633c_f5d5;
+const GOLDEN_CONVOY_TOTAL_OPS: u64 = 2_335;
+const GOLDEN_MIGRATION_STORM_FINGERPRINT: u64 = 0x2608_bd0a_b60d_7b9a;
+const GOLDEN_MIGRATION_STORM_TOTAL_OPS: u64 = 85_892;
+
+/// An idle-heavy blocking-lock convoy: 16 cores contend on one lock, park
+/// while they wait, and are woken by each release.
+#[test]
+fn blocking_lock_convoy_is_pinned() {
+    let mut cfg = MachineConfig::amd16();
+    cfg.contention = ContentionModel::None;
+    let mut engine = Engine::new(
+        Machine::new(cfg),
+        Box::new(NullPolicy),
+        RuntimeConfig::default().with_blocking_locks(),
+    );
+    let word = engine.machine_mut().memory_mut().alloc(64, 9);
+    let lock = engine.register_lock(word.addr);
+    for core in 0..16u32 {
+        let op = OpBuilder::annotated(0x2000 + u64::from(core))
+            .lock(lock)
+            .compute(100 + u64::from(core) * 7)
+            .unlock(lock)
+            .compute(20_000)
+            .finish();
+        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+    }
+    engine.run_until_cycles(3_000_000);
+    assert_eq!(
+        (fingerprint(&engine), engine.total_ops()),
+        (GOLDEN_CONVOY_FINGERPRINT, GOLDEN_CONVOY_TOTAL_OPS)
+    );
+}
+
+/// A migration-heavy run: every object is pinned off its thread's home
+/// core, so each operation migrates.
+#[test]
+fn migration_storm_is_pinned() {
+    let mut policy = StaticPolicy::new();
+    for i in 0..16u64 {
+        policy.assign(0x3000 + i, ((i * 7 + 3) % 16) as u32);
+    }
+    let mut engine = Engine::new(
+        Machine::new(MachineConfig::amd16()),
+        Box::new(policy),
+        RuntimeConfig::default(),
+    );
+    let data = engine.machine_mut().memory_mut().alloc(1 << 20, 0);
+    for core in 0..16u32 {
+        let op = OpBuilder::annotated(0x3000 + u64::from(core))
+            .compute(200 + u64::from(core) * 11)
+            .read(data.addr + u64::from(core) * 8192, 2048)
+            .finish();
+        engine.spawn(core, Box::new(RepeatBehaviour::new(op, None)));
+    }
+    engine.run_until_cycles(2_000_000);
+    assert_eq!(
+        (fingerprint(&engine), engine.total_ops()),
+        (
+            GOLDEN_MIGRATION_STORM_FINGERPRINT,
+            GOLDEN_MIGRATION_STORM_TOTAL_OPS
+        )
+    );
 }
 
 #[test]
